@@ -7,7 +7,9 @@
 // undetectable, the circuit computes the same function with L replaced
 // by the constant v. The pass therefore alternates
 //
-//  1. classify every collapsed fault with the PODEM generator,
+//  1. classify every collapsed fault: random-pattern simulation screens
+//     out the easily detected ones, and the PODEM generator proves or
+//     refutes the redundancy of the rest,
 //  2. replace the lines of undetectable faults with constants,
 //  3. propagate the constants (gate simplification) and prune logic
 //     that no longer reaches an output,
@@ -18,10 +20,19 @@
 // circuit function, which is acceptable here — the suite circuits are
 // synthetic stand-ins, and what the experiments require is a valid
 // *irredundant* netlist, which the fixpoint iteration guarantees.
+//
+// The PODEM proofs of step 1 are nearly all of the pass's time, and
+// each depends only on the circuit and its own fault. They therefore
+// run on GOMAXPROCS workers, and their outcomes are merged in fault
+// order, so the output netlist and Stats do not depend on the worker
+// count.
 package irr
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/eda-go/adifo/internal/atpg"
 	"github.com/eda-go/adifo/internal/circuit"
@@ -35,8 +46,9 @@ import (
 type Options struct {
 	// MaxIters bounds the classify/rewrite iterations (default 25).
 	MaxIters int
-	// BacktrackLimit is handed to the ATPG (0 = its default). Faults
-	// aborted by the ATPG are conservatively treated as detectable.
+	// BacktrackLimit is handed to the ATPG (default 10,000, see Make).
+	// Faults aborted by the ATPG are conservatively treated as
+	// detectable.
 	BacktrackLimit int
 }
 
@@ -71,7 +83,7 @@ func Make(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 		// the suite, small enough that a pathological proof cannot
 		// stall the pass (a fault it cannot settle is conservatively
 		// kept, reported via Stats.Clean=false).
-		opts.BacktrackLimit = 10000
+		opts.BacktrackLimit = defaultBacktrackLimit
 	}
 	st := Stats{GatesBefore: c.ComputeStats().Gates}
 
@@ -94,24 +106,60 @@ func Make(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 	return cur, st, nil
 }
 
-// classify returns the undetectable collapsed faults of c, plus
-// whether the ATPG aborted on any fault. Random-pattern fault
-// simulation prefilters the universe — a fault detected by simulation
-// is trivially not redundant — so the expensive PODEM proof runs only
-// on the small random-resistant remainder.
+// classify returns the undetectable collapsed faults of c, in fault
+// order, plus whether the ATPG aborted on any fault. Random-pattern
+// fault simulation prefilters the universe — a fault detected by
+// simulation is trivially not redundant — so the expensive PODEM proof
+// runs only on the random-resistant remainder, on up to GOMAXPROCS
+// workers.
 func classify(c *circuit.Circuit, backtrackLimit int) ([]fault.Fault, bool) {
+	return classifyWorkers(c, backtrackLimit, runtime.GOMAXPROCS(0))
+}
+
+// classifyWorkers is classify with an explicit worker count. The
+// faults left by the prefilter are proven by min(workers, len(todo))
+// goroutines, each owning one atpg.Generator and claiming the next
+// fault from a shared counter; an aborted proof costs far more than a
+// redundant one, so a static split would leave workers idle. A proof
+// depends only on the circuit, the fault and the budget (Generate
+// resets all generator state per call), and each outcome is stored in
+// its fault's slot and read back in fault order once every worker is
+// done, so the result is the same at any worker count.
+func classifyWorkers(c *circuit.Circuit, backtrackLimit, workers int) ([]fault.Fault, bool) {
 	fl := fault.CollapsedUniverse(c)
 	ps := logic.RandomPatterns(c.NumInputs(), prefilterPatterns, prng.New(prefilterSeed))
 	res := fsim.Run(fl, ps, fsim.Options{Mode: fsim.Drop})
 
-	g := atpg.New(c, atpg.Options{BacktrackLimit: backtrackLimit})
+	var todo []fault.Fault
+	for fi, f := range fl.Faults {
+		if !res.Detected(fi) {
+			todo = append(todo, f)
+		}
+	}
+
+	status := make([]atpg.Status, len(todo))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := atpg.New(c, atpg.Options{BacktrackLimit: backtrackLimit})
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
+					return
+				}
+				status[k] = g.Generate(todo[k]).Status
+			}
+		}()
+	}
+	wg.Wait()
+
 	var redundant []fault.Fault
 	aborted := false
-	for fi, f := range fl.Faults {
-		if res.Detected(fi) {
-			continue
-		}
-		switch g.Generate(f).Status {
+	for k, f := range todo {
+		switch status[k] {
 		case atpg.Redundant:
 			redundant = append(redundant, f)
 		case atpg.Aborted:
@@ -122,6 +170,9 @@ func classify(c *circuit.Circuit, backtrackLimit int) ([]fault.Fault, bool) {
 }
 
 const (
+	// defaultBacktrackLimit is the PODEM budget per redundancy proof
+	// when Options.BacktrackLimit is unset (see Make).
+	defaultBacktrackLimit = 10000
 	// prefilterPatterns is the random-simulation budget used to screen
 	// obviously detectable faults before invoking the ATPG. Simulation
 	// is orders of magnitude cheaper than a PODEM proof, so a generous

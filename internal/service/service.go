@@ -1142,15 +1142,28 @@ func (s *Service) run(j *job) {
 // finish performs a job's terminal transition — the single path every
 // outcome (done, failed, cancelled-queued, cancelled-running,
 // drain-dropped, panic recovery) goes through: state + timing + result
-// publication under the job lock, subscriber close, metric settlement,
-// the journal's finished record, and the service counters. At most one
+// publication together with the service counters, subscriber close,
+// metric settlement, and the journal's finished record. At most one
 // caller wins; later calls are no-ops, so racing finishers (a Cancel
 // against the run goroutine, say) are safe.
 func (s *Service) finish(j *job, state string, result any, cause error) {
+	// The terminal state and its counter change in one critical
+	// section, taken in Stats' s.mu → j.mu order, so Stats never sees
+	// a job that has left running/queued but is counted nowhere.
+	s.mu.Lock()
 	j.mu.Lock()
 	if terminal(j.status.State) {
 		j.mu.Unlock()
+		s.mu.Unlock()
 		return
+	}
+	switch state {
+	case StateDone:
+		s.done++
+	case StateFailed:
+		s.failed++
+	case StateCancelled:
+		s.cancelled++
 	}
 	j.status.State = state
 	if cause != nil {
@@ -1168,6 +1181,7 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	j.subs = nil
 	tctx := j.tctx
 	j.mu.Unlock()
+	s.mu.Unlock()
 	if tctx == nil {
 		tctx = context.Background()
 	}
@@ -1184,16 +1198,6 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	}
 	s.journalFinished(j, st, res)
 	j.endSpan(state, cause)
-	s.mu.Lock()
-	switch state {
-	case StateDone:
-		s.done++
-	case StateFailed:
-		s.failed++
-	case StateCancelled:
-		s.cancelled++
-	}
-	s.mu.Unlock()
 }
 
 // endSpan closes the job's root span — the last act of the terminal
