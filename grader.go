@@ -127,8 +127,9 @@ type Grader interface {
 	// immediately, a running one at its next 64-pattern block barrier.
 	// Idempotent on cancelled jobs; ErrJobFinished after completion.
 	Cancel(ctx context.Context, id string) (JobStatus, error)
-	// Stream delivers per-block progress events until the job reaches
-	// a terminal state and returns the final status.
+	// Stream delivers advisory progress events (a slow fn skips to the
+	// newest) until the job reaches a terminal state and returns the
+	// final status.
 	Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error)
 	// Stats returns the engine's counters.
 	Stats(ctx context.Context) (GraderStats, error)
@@ -222,29 +223,12 @@ func (g *LocalGrader) Cancel(_ context.Context, id string) (JobStatus, error) {
 	return g.svc.Cancel(id)
 }
 
-// Stream implements Grader: it subscribes to the job's progress feed
-// and calls fn for every event until the job reaches a terminal state,
-// then returns the final status. ctx aborts the subscription (not the
-// job — use Cancel for that).
+// Stream implements Grader: it calls fn for every progress event the
+// reader sees (latest-value: a slow fn skips to the newest) until the
+// job reaches a terminal state, then returns the final status. ctx
+// aborts the subscription (not the job — use Cancel for that).
 func (g *LocalGrader) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	ch, cancel, ok := g.svc.Subscribe(id)
-	if !ok {
-		return JobStatus{}, ErrJobNotFound
-	}
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case ev, open := <-ch:
-			if !open {
-				return g.Status(ctx, id)
-			}
-			if fn != nil {
-				fn(ev)
-			}
-		}
-	}
+	return g.svc.Stream(ctx, id, fn)
 }
 
 // Stats implements Grader.
@@ -370,8 +354,10 @@ func (g *ClusterGrader) Cancel(ctx context.Context, id string) (JobStatus, error
 	return g.co.Cancel(ctx, id)
 }
 
-// Stream implements Grader: merged per-block events, one per block
-// once every shard has passed it.
+// Stream implements Grader with advisory merged progress: each event
+// sums every shard's latest snapshot, so Block, Detected and
+// VectorsUsed never decrease, but blocks may be skipped. Only the
+// final result is exact.
 func (g *ClusterGrader) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
 	return g.co.Stream(ctx, id, fn)
 }

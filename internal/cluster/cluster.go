@@ -1,10 +1,10 @@
 // Package cluster fans one fault-grading job out across multiple
 // adifod backends. The coordinator partitions the collapsed fault
 // universe into deterministic index-range shards (service.ShardRange),
-// submits sub-jobs with the wire's fault_shard selector set, merges the
-// streamed per-block progress and the final per-shard results into a
-// single JobResult, and retries the shard of a dead backend on a
-// surviving one.
+// submits sub-jobs with the wire's fault_shard selector set, sums the
+// shards' latest progress snapshots into one advisory feed, merges the
+// final per-shard results into a single JobResult, and retries the
+// shard of a dead backend on a surviving one.
 //
 // Placement is a work queue, not a static assignment: the coordinator
 // cuts ShardsPerBackend shards per healthy backend — many more shards
@@ -382,7 +382,8 @@ type cjob struct {
 	id     string
 	spec   service.JobSpec
 	shards []*shard
-	merge  *merger
+	// progress sums the shards' latest snapshots into status and feed.
+	progress *progress
 
 	// tctx carries the job's root span (plus the coordinator's
 	// recorder); shard-attempt and merge spans start under it, and
@@ -391,10 +392,6 @@ type cjob struct {
 	// start and never reassigned.
 	tctx context.Context
 	span *trace.Span
-
-	// pubMu serializes merge-and-publish pairs so merged events reach
-	// subscribers in block order even when shard streams race.
-	pubMu sync.Mutex
 
 	// cancelled is the user's Cancel; aborted additionally covers shard
 	// failure fan-outs. Attempt triage consults aborted so the abort's
@@ -421,7 +418,8 @@ type cjob struct {
 	status service.JobStatus
 	timing service.Timing
 	result *service.JobResult
-	subs   []*subscriber
+	// feed closes in finalize, after the terminal status is set.
+	feed service.Feed
 }
 
 // work is one claimed placement: a shard plus the attempt minted for
@@ -429,63 +427,6 @@ type cjob struct {
 type work struct {
 	sh  *shard
 	att *attempt
-}
-
-// subscriber buffers merged progress events for one Subscribe caller
-// without loss. The merged feed emits every block exactly once, so the
-// queue — formally unbounded — is in fact bounded by the job's block
-// count. A fixed drop-on-full channel here would lose merged blocks
-// whenever a shard rerun catches up after a backend death: the merger
-// then emits a burst of gap-filled blocks faster than a consumer
-// goroutine is guaranteed to be scheduled.
-type subscriber struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []service.ProgressEvent
-	done  bool          // terminal: nothing more will be queued
-	stop  chan struct{} // closed on cancel: the consumer is gone
-}
-
-func newSubscriber() *subscriber {
-	sb := &subscriber{stop: make(chan struct{})}
-	sb.cond = sync.NewCond(&sb.mu)
-	return sb
-}
-
-// push appends one event to the queue; a no-op once the feed is
-// terminal.
-func (sb *subscriber) push(ev service.ProgressEvent) {
-	sb.mu.Lock()
-	if !sb.done {
-		sb.queue = append(sb.queue, ev)
-	}
-	sb.mu.Unlock()
-	sb.cond.Signal()
-}
-
-// finish marks the feed terminal; the pump drains what is already
-// queued and then closes the consumer channel.
-func (sb *subscriber) finish() {
-	sb.mu.Lock()
-	sb.done = true
-	sb.mu.Unlock()
-	sb.cond.Broadcast()
-}
-
-// next blocks until an event is queued or the feed is terminal and
-// drained.
-func (sb *subscriber) next() (service.ProgressEvent, bool) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for len(sb.queue) == 0 && !sb.done {
-		sb.cond.Wait()
-	}
-	if len(sb.queue) == 0 {
-		return service.ProgressEvent{}, false
-	}
-	ev := sb.queue[0]
-	sb.queue = sb.queue[1:]
-	return ev, true
 }
 
 // probe checks one backend's liveness with the configured timeout,
@@ -676,7 +617,6 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 	j := &cjob{
 		id:        id,
 		spec:      spec,
-		merge:     newMerger(id, count),
 		status:    service.JobStatus{ID: id, Kind: service.KindGrade, State: service.StateRunning},
 		timing:    service.Timing{SubmittedAt: now, StartedAt: now},
 		inflight:  make(map[string]int),
@@ -684,6 +624,7 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 		remaining: count,
 	}
 	j.cond = sync.NewCond(&j.smu)
+	j.progress = newProgress(id, count, func(ev service.ProgressEvent) { co.publish(j, ev) })
 	// The job's root span: it joins the caller's trace when the submit
 	// context carries one (a span, or a remote SpanContext from an
 	// incoming traceparent), else starts a fresh trace. One trace then
@@ -770,13 +711,18 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 
 	// Queue the remaining shards and start the machinery. The canary's
 	// supervisor is the job's first runnersWg holder, so startRunner's
-	// liveness guard (holders > 0) admits the dispatch loops.
+	// liveness guard (holders > 0) admits the dispatch loops. They start
+	// before the supervisor runs: a canary that settled first would drop
+	// holders to zero, refuse every loop and strand the queued shards.
 	j.smu.Lock()
 	j.queue = append(j.queue, j.shards[1:]...)
 	j.inflight[canaryB.url]++
 	j.holders++
 	j.runnersWg.Add(1)
 	j.smu.Unlock()
+	for _, b := range healthy {
+		co.startRunner(j, b)
+	}
 	co.wg.Add(1)
 	go func() {
 		defer co.wg.Done()
@@ -792,9 +738,6 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 			pprof.Labels("job", j.id, "shard", fmt.Sprintf("0/%d", count)),
 			func(context.Context) { co.runAttempt(j, canaryB, canaryWork) })
 	}()
-	for _, b := range healthy {
-		co.startRunner(j, b)
-	}
 
 	// The pacemaker: steal and speculation eligibility turn true with
 	// the mere passage of time (an attempt ages past StragglerAfter
@@ -1137,9 +1080,7 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 	}
 	st, err := b.cl.Stream(ctx, rid, func(ev service.ProgressEvent) {
 		att.progress.Add(1)
-		j.pubMu.Lock()
-		co.publish(j, j.merge.update(sh.index, ev))
-		j.pubMu.Unlock()
+		j.progress.update(sh.index, ev)
 	})
 	if err == nil {
 		switch st.State {
@@ -1272,8 +1213,8 @@ func (co *Coordinator) attemptLost(lctx context.Context, j *cjob, b *backend, sh
 
 // completeShard claims sh's terminal transition for att's result.
 // Returns false when a sibling attempt won the race (the caller's
-// result is the bit-identical duplicate). The winner feeds the merger
-// and cancels the losing attempts.
+// result is the bit-identical duplicate). The winner records the
+// shard's terminal progress and cancels the losing attempts.
 func (co *Coordinator) completeShard(j *cjob, sh *shard, att *attempt, st service.JobStatus, res *service.JobResult) bool {
 	type loser struct {
 		att *attempt
@@ -1306,10 +1247,7 @@ func (co *Coordinator) completeShard(j *cjob, sh *shard, att *attempt, st servic
 		l.att.cancel()
 		go co.cancelRemote(j.tctx, j, l.att.backend, l.rid, "superseded")
 	}
-	j.pubMu.Lock()
-	j.merge.markDone(sh.index, st)
-	co.publish(j, j.merge.collect())
-	j.pubMu.Unlock()
+	j.progress.markDone(sh.index, st)
 	co.shardSettled(j)
 	return true
 }
@@ -1413,8 +1351,8 @@ func (co *Coordinator) cancelRemote(lctx context.Context, j *cjob, b *backend, r
 
 // finalize runs once every dispatch loop and attempt has returned: it
 // merges the shard results (all-done), or settles on the
-// failed/cancelled state, updates the cluster status and closes every
-// subscriber channel.
+// failed/cancelled state, updates the cluster status and closes the
+// progress feed.
 func (co *Coordinator) finalize(j *cjob) {
 	state := service.StateDone
 	var firstErr error
@@ -1495,8 +1433,6 @@ func (co *Coordinator) finalize(j *cjob) {
 	if firstErr != nil {
 		j.status.Error = firstErr.Error()
 	}
-	subs := j.subs
-	j.subs = nil
 	j.mu.Unlock()
 	co.met.jobsTotal.With(state).Inc()
 	// The root span ends before subscribers wake: a caller unblocked by
@@ -1508,34 +1444,23 @@ func (co *Coordinator) finalize(j *cjob) {
 		j.span.SetStatus(trace.StatusOK, "")
 	}
 	j.span.End()
-	for _, sb := range subs {
-		sb.finish()
-	}
+	j.feed.Close()
 }
 
-// publish forwards merged progress events to the cluster job's status
-// and subscribers. Pushes never block — each subscriber owns a lossless
-// queue its pump goroutine drains — so the merged feed stays contiguous
-// even when a rerun's catch-up emits a whole job's worth of blocks in
-// one burst.
-func (co *Coordinator) publish(j *cjob, evs []service.ProgressEvent) {
-	for _, ev := range evs {
-		j.mu.Lock()
-		if terminalState(j.status.State) {
-			j.mu.Unlock()
-			return
-		}
-		j.status.BlocksDone = ev.Block + 1
-		j.status.Blocks = ev.Blocks
-		j.status.VectorsUsed = ev.VectorsUsed
-		j.status.Detected = ev.Detected
-		j.status.Active = ev.Active
-		subs := append([]*subscriber(nil), j.subs...)
-		j.mu.Unlock()
-		for _, sb := range subs {
-			sb.push(ev)
-		}
+// publish forwards one summed progress event to the cluster job's
+// status and feed; neither step blocks.
+func (co *Coordinator) publish(j *cjob, ev service.ProgressEvent) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if terminalState(j.status.State) {
+		return
 	}
+	j.status.BlocksDone = ev.Block + 1
+	j.status.Blocks = ev.Blocks
+	j.status.VectorsUsed = ev.VectorsUsed
+	j.status.Detected = ev.Detected
+	j.status.Active = ev.Active
+	j.feed.Publish(ev)
 }
 
 func terminalState(s string) bool {
@@ -1578,8 +1503,9 @@ func (co *Coordinator) job(id string) *cjob {
 }
 
 // Status returns the merged status of a cluster job. Identity fields
-// (circuit, fault count) fill in when the job completes; the progress
-// fields track the merged per-block frontier while it runs.
+// (circuit, fault count) fill in when the job completes. While it
+// runs, the progress fields are advisory: the sum of every shard's
+// latest snapshot, at the furthest block any shard has reported.
 func (co *Coordinator) Status(ctx context.Context, id string) (service.JobStatus, error) {
 	j := co.job(id)
 	if j == nil {
@@ -1638,85 +1564,35 @@ func (co *Coordinator) Cancel(ctx context.Context, id string) (service.JobStatus
 	return st, nil
 }
 
-// Subscribe returns a channel of merged per-block progress events for
-// a cluster job and a cancel function; the channel closes when the job
-// reaches a terminal state (immediately for finished jobs).
+// Subscribe returns a channel of a cluster job's advisory progress and
+// a cancel function; the channel closes when the job reaches a
+// terminal state (immediately for finished jobs). Each event sums
+// every shard's latest snapshot: Block, Detected and VectorsUsed never
+// decrease, but blocks may be skipped, and a slow reader skips to the
+// newest event. Only the final result is exact.
 func (co *Coordinator) Subscribe(id string) (<-chan service.ProgressEvent, func(), bool) {
 	j := co.job(id)
 	if j == nil {
 		return nil, nil, false
 	}
-	ch := make(chan service.ProgressEvent, 16)
-	j.mu.Lock()
-	if terminalState(j.status.State) {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}, true
-	}
-	sb := newSubscriber()
-	j.subs = append(j.subs, sb)
-	j.mu.Unlock()
-	// The pump decouples the publisher from the consumer: events queue
-	// losslessly in sb and flow into ch at the consumer's pace. On
-	// cancel the pump abandons the queue instead of blocking forever on
-	// a send nobody will receive.
-	go func() {
-		defer close(ch)
-		for {
-			ev, ok := sb.next()
-			if !ok {
-				return
-			}
-			select {
-			case ch <- ev:
-			case <-sb.stop:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() { close(sb.stop) })
-		sb.finish()
-		j.mu.Lock()
-		for i, s := range j.subs {
-			if s == sb {
-				// Shift-and-truncate with a nilled tail slot so the
-				// backing array does not pin the dead subscriber (and
-				// its queued events) until overwritten.
-				copy(j.subs[i:], j.subs[i+1:])
-				j.subs[len(j.subs)-1] = nil
-				j.subs = j.subs[:len(j.subs)-1]
-				break
-			}
-		}
-		j.mu.Unlock()
-	}
+	ch, cancel := j.feed.Subscribe()
 	return ch, cancel, true
 }
 
-// Stream delivers merged progress events until the cluster job reaches
-// a terminal state and returns the final status. ctx aborts the
-// subscription, not the job.
+// Stream calls fn for every progress event a Subscribe reader would
+// see until the cluster job reaches a terminal state and returns the
+// final status. ctx aborts the subscription, not the job.
 func (co *Coordinator) Stream(ctx context.Context, id string, fn func(service.ProgressEvent)) (service.JobStatus, error) {
-	ch, cancel, ok := co.Subscribe(id)
-	if !ok {
+	j := co.job(id)
+	if j == nil {
 		return service.JobStatus{}, service.ErrNotFound
 	}
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return service.JobStatus{}, ctx.Err()
-		case ev, open := <-ch:
-			if !open {
-				return co.Status(ctx, id)
-			}
-			if fn != nil {
-				fn(ev)
-			}
-		}
+	if err := j.feed.Drain(ctx, fn); err != nil {
+		return service.JobStatus{}, err
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status, nil
 }
 
 // Shards returns the per-shard placement state of a cluster job, for

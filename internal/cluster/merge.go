@@ -8,153 +8,67 @@ import (
 	"github.com/eda-go/adifo/internal/service"
 )
 
-// merger folds the per-shard progress streams into one merged
-// per-block feed. A merged event for block b is emitted once every
-// shard has either reported block b or finished earlier (a shard whose
-// faults all dropped stops streaming early; from then on it
-// contributes its final counters). Shard reruns and speculative
-// duplicates replay identical per-block stats (grading is
-// deterministic), so a track tolerates multiple concurrent reporters:
-// replayed blocks below the frontier only fill holes, and the merged
-// feed never regresses and never double-counts.
-type merger struct {
-	jobID string
+// progress sums each shard's latest snapshot into the cluster job's
+// advisory progress. A shard contributes its newest reported block, or
+// its terminal counters once done. Reruns and speculative duplicates
+// replay bit-identical per-block stats (grading is deterministic), so
+// replayed blocks below a shard's frontier are ignored and the sums
+// never double-count. Every event that moves a shard forward is
+// published under mu, so published events stay in order and Block,
+// Detected and VectorsUsed never decrease.
+type progress struct {
+	jobID   string
+	publish func(service.ProgressEvent)
 
-	mu      sync.Mutex
-	tracks  []shardTrack
-	emitted int // merged events emitted so far (== blocks fully merged)
-	blocks  int // total blocks, from the first event seen
+	mu     sync.Mutex
+	shards []shardSnap
+	block  int // furthest block any shard has reported; -1 before any
+	blocks int
 }
 
-type shardTrack struct {
-	done       bool
-	blocksDone int
-	hist       map[int]blockStat
-	// last is the most recent stat, used to fill gaps: progress events
-	// are advisory (a slow consumer may miss blocks), so a skipped
-	// block inherits the previous counters instead of merging zeros.
-	last  blockStat
-	final blockStat
+type shardSnap struct {
+	next                          int // frontier: blocks reported so far
+	done                          bool
+	vectorsUsed, detected, active int
 }
 
-type blockStat struct {
-	vectorsUsed int
-	detected    int
-	active      int
+func newProgress(jobID string, count int, publish func(service.ProgressEvent)) *progress {
+	return &progress{jobID: jobID, publish: publish, shards: make([]shardSnap, count), block: -1}
 }
 
-func newMerger(jobID string, count int) *merger {
-	m := &merger{jobID: jobID, tracks: make([]shardTrack, count)}
-	for i := range m.tracks {
-		m.tracks[i].hist = make(map[int]blockStat)
+// update records one progress event of shard i.
+func (p *progress) update(i int, ev service.ProgressEvent) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sh := &p.shards[i]
+	if sh.done || ev.Block < sh.next {
+		return // a replay of blocks this shard already reported
 	}
-	return m
+	*sh = shardSnap{next: ev.Block + 1, vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active}
+	p.block = max(p.block, ev.Block)
+	p.blocks = max(p.blocks, ev.Blocks)
+	p.publishLocked()
 }
 
-// update records one progress event of shard i and returns any merged
-// events that became complete.
-func (m *merger) update(i int, ev service.ProgressEvent) []service.ProgressEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := &m.tracks[i]
-	st := blockStat{vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active}
-	if ev.Block < t.blocksDone {
-		// A duplicate attempt (speculation, or a rerun after a death)
-		// replaying blocks another attempt already reported. The stats
-		// are bit-identical, so it may fill a gap-filled hole with the
-		// authentic value, but must not touch the frontier: regressing
-		// last/blocksDone would let later gap-fills inherit stale
-		// counters.
-		if _, ok := t.hist[ev.Block]; !ok && ev.Block >= m.emitted {
-			t.hist[ev.Block] = st
-		}
-		return m.collectLocked()
-	}
-	for b := t.blocksDone; b < ev.Block; b++ {
-		if _, ok := t.hist[b]; !ok {
-			t.hist[b] = t.last
-		}
-	}
-	t.hist[ev.Block] = st
-	t.last = st
-	t.blocksDone = ev.Block + 1
-	if ev.Blocks > m.blocks {
-		m.blocks = ev.Blocks
-	}
-	return m.collectLocked()
+// markDone records shard i's terminal counters.
+func (p *progress) markDone(i int, st service.JobStatus) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.shards[i] = shardSnap{done: true, vectorsUsed: st.VectorsUsed, detected: st.Detected, active: st.Active}
+	p.publishLocked()
 }
 
-// markDone records shard i's terminal counters; the shard contributes
-// them to every merged block past its own early stop.
-func (m *merger) markDone(i int, st service.JobStatus) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := &m.tracks[i]
-	t.done = true
-	t.final = blockStat{vectorsUsed: st.VectorsUsed, detected: st.Detected, active: st.Active}
-}
-
-// collect returns any merged events that are complete but unemitted
-// (used after markDone, which can complete pending blocks).
-func (m *merger) collect() []service.ProgressEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.collectLocked()
-}
-
-func (m *merger) collectLocked() []service.ProgressEvent {
-	var out []service.ProgressEvent
-	for {
-		b := m.emitted
-		maxDone := 0
-		for i := range m.tracks {
-			if m.tracks[i].blocksDone > maxDone {
-				maxDone = m.tracks[i].blocksDone
-			}
-		}
-		if b >= maxDone {
-			break
-		}
-		var st blockStat
-		complete := true
-		for i := range m.tracks {
-			t := &m.tracks[i]
-			var c blockStat
-			switch {
-			case t.blocksDone > b:
-				c = t.hist[b]
-			case t.done:
-				c = t.final
-			default:
-				complete = false
-			}
-			if !complete {
-				break
-			}
-			st.detected += c.detected
-			st.active += c.active
-			if c.vectorsUsed > st.vectorsUsed {
-				st.vectorsUsed = c.vectorsUsed
-			}
-		}
-		if !complete {
-			break
-		}
-		out = append(out, service.ProgressEvent{
-			JobID:       m.jobID,
-			State:       service.StateRunning,
-			Block:       b,
-			Blocks:      m.blocks,
-			VectorsUsed: st.vectorsUsed,
-			Detected:    st.detected,
-			Active:      st.active,
-		})
-		for i := range m.tracks {
-			delete(m.tracks[i].hist, b)
-		}
-		m.emitted++
+func (p *progress) publishLocked() {
+	if p.block < 0 {
+		return // no block reported yet: nothing to place the sums at
 	}
-	return out
+	ev := service.ProgressEvent{JobID: p.jobID, State: service.StateRunning, Block: p.block, Blocks: p.blocks}
+	for _, sh := range p.shards {
+		ev.Detected += sh.detected
+		ev.Active += sh.active
+		ev.VectorsUsed = max(ev.VectorsUsed, sh.vectorsUsed)
+	}
+	p.publish(ev)
 }
 
 // MergeResults merges the per-shard results of one cluster job into

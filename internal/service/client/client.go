@@ -295,8 +295,9 @@ func (c *Client) Stats(ctx context.Context) (service.Stats, error) {
 	return st, err
 }
 
-// Stream consumes a job's per-block progress feed, calling fn for
-// every event until the job finishes. It returns the final status.
+// Stream consumes a job's advisory progress feed, calling fn for
+// every event the server sends until the job finishes. It returns the
+// final status.
 func (c *Client) Stream(ctx context.Context, id string, fn func(service.ProgressEvent)) (service.JobStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/stream", nil)
 	if err != nil {

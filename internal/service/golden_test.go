@@ -229,8 +229,9 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, s, doneID)
-	cancelledID, err := s.Submit(JobSpec{Circuit: "c17", Mode: "drop",
-		Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: 2}}})
+	// A slow job, so the cancel always lands first: a one-block job
+	// can finish before Cancel on a loaded machine.
+	cancelledID, err := s.Submit(slowSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +252,10 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// irs1238 is no suite name, so this job fails at resolve and the
+	// pinned "not_done" envelope is job_failed; wait for that, or a
+	// loaded machine reads the result before the failure.
+	waitTerminal(t, s, slowID)
 
 	type envelope struct {
 		Name   string          `json:"name"`

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -85,10 +86,11 @@ const retryAfterSeconds = "1"
 //	                            result (JobResult, AtpgResult or
 //	                            OrderResult)
 //	GET    /v1/jobs/{id}/stream newline-delimited JSON ProgressEvents,
-//	                            one per 64-pattern block (plus one per
-//	                            ATPG target for atpg jobs), until the
-//	                            job reaches a terminal state (the last
-//	                            line is the final JobStatus)
+//	                            at most one per 64-pattern block (plus
+//	                            one per ATPG target for atpg jobs; a
+//	                            slow reader skips to the newest), until
+//	                            the job reaches a terminal state (the
+//	                            last line is the final JobStatus)
 //	GET    /v1/stats            service and registry cache counters
 //	GET    /metrics             Prometheus text exposition of the
 //	                            service metrics
@@ -227,17 +229,17 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStream writes one JSON line per block barrier as the job runs
-// and a final JobStatus line when it reaches a terminal state
-// (including cancellation, whose final line reads state "cancelled").
+// handleStream writes one JSON line per progress event the reader
+// sees (latest-value: a slow client skips to the newest) and a final
+// JobStatus line when the job reaches a terminal state (including
+// cancellation, whose final line reads state "cancelled").
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ch, cancel, ok := s.Subscribe(id)
+	j, ok := s.lookup(id)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, CodeNotFound, ErrNotFound)
 		return
 	}
-	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -250,29 +252,30 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	for {
-		select {
-		case <-r.Context().Done():
+	// A failed write ends the stream through ctx, like a client hangup.
+	ctx, stop := context.WithCancel(r.Context())
+	defer stop()
+	var werr error
+	err := j.feed.Drain(ctx, func(ev ProgressEvent) {
+		if werr != nil {
 			return
-		case ev, open := <-ch:
-			if !open {
-				if st, ok := s.Status(id); ok {
-					if err := enc.Encode(st); err != nil {
-						s.met.writeErrors.Inc()
-						s.logger.Warn("encoding final stream status failed", "job", id, "err", err)
-					}
-				}
-				flush()
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				s.met.writeErrors.Inc()
-				s.logger.Warn("encoding stream event failed", "job", id, "err", err)
-				return
-			}
-			flush()
 		}
+		if werr = enc.Encode(ev); werr != nil {
+			s.met.writeErrors.Inc()
+			s.logger.Warn("encoding stream event failed", "job", id, "err", werr)
+			stop()
+			return
+		}
+		flush()
+	})
+	if err != nil || werr != nil {
+		return
 	}
+	if err := enc.Encode(j.snapshot()); err != nil {
+		s.met.writeErrors.Inc()
+		s.logger.Warn("encoding final stream status failed", "job", id, "err", err)
+	}
+	flush()
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

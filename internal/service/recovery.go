@@ -203,6 +203,9 @@ func (s *Service) installTerminal(id string, p *replayedJob) {
 				"job", id, "err", err)
 		}
 	}
+	// Never run, so never finished: its feed closes here, or its
+	// streams would wait forever.
+	j.feed.Close()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.submitted++
@@ -246,6 +249,7 @@ func (s *Service) requeue(id string, p *replayedJob) {
 				Error:  err.Error(),
 			},
 		}
+		j.feed.Close()
 		s.jobs[id] = j
 		s.order = append(s.order, id)
 		s.submitted++

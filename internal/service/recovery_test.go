@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -125,6 +126,96 @@ func TestJournalRecoveryTerminalBytes(t *testing.T) {
 		t.Errorf("typed result after replay: %v", err)
 	} else if _, ok := res.(*JobResult); !ok {
 		t.Errorf("typed result after replay is %T, want *JobResult", res)
+	}
+}
+
+// TestJournalRecoveredTerminalStream: a job replayed terminal from the
+// journal never passes through finish, yet its progress feed must be
+// closed — Subscribe yields a closed channel at once, Stream returns
+// the final status, and the HTTP stream ends with the status line.
+// Covers both terminal replay paths: a journaled finished record, and
+// a queued spec this server can no longer run.
+func TestJournalRecoveredTerminalStream(t *testing.T) {
+	dir := t.TempDir()
+	a := mustOpen(t, journalCfg(dir))
+	doneID, err := a.Submit(JobSpec{Circuit: "c17", Mode: "drop",
+		Patterns: PatternSpec{Random: &RandomSpec{N: 128, Seed: 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, a, doneID)
+	cancelledID, err := a.Submit(slowSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Cancel(cancelledID)
+	waitTerminal(t, a, cancelledID)
+	a.Close()
+
+	// A queued atpg job the restarted, grade-only server cannot run.
+	jnl, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(JobSpec{Kind: KindAtpg, Circuit: "c17",
+		Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: 5}},
+		Order:    &OrderSpec{Kind: "dynm"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const failedID = "j99"
+	if err := jnl.Append(journal.Record{Type: journal.TypeSubmitted,
+		Job: failedID, Kind: KindAtpg, Spec: raw, At: time.Now().UnixNano()}); err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+
+	b := mustOpen(t, Config{Logger: obs.Nop(), SimWorkers: 2, JournalDir: dir,
+		Kinds: []string{KindGrade}})
+	defer b.Close()
+	srv := httptest.NewServer(b.Handler())
+	defer srv.Close()
+	for id, want := range map[string]string{
+		doneID: StateDone, cancelledID: StateCancelled, failedID: StateFailed,
+	} {
+		ch, cancel, ok := b.Subscribe(id)
+		if !ok {
+			t.Fatalf("%s: subscribe to replayed job failed", id)
+		}
+		select {
+		case _, open := <-ch:
+			if open {
+				t.Errorf("%s: replayed terminal job delivered a progress event", id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: subscription of a replayed terminal job never closed", id)
+		}
+		cancel()
+
+		ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+		st, err := b.Stream(ctx, id, nil)
+		if err != nil || st.State != want {
+			t.Errorf("%s: Stream = %+v, %v; want state %s", id, st, err, want)
+		}
+
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+id+"/stream", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: stream request: %v", id, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		stop()
+		if err != nil {
+			t.Fatalf("%s: HTTP stream did not end: %v", id, err)
+		}
+		var final JobStatus
+		if err := json.Unmarshal(body, &final); err != nil || final.ID != id || final.State != want {
+			t.Errorf("%s: HTTP stream body %q, want one status line with state %s (%v)", id, body, want, err)
+		}
 	}
 }
 

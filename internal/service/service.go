@@ -449,7 +449,10 @@ type job struct {
 	// job's result; the result endpoint serves it verbatim so a
 	// restart is byte-invisible to clients.
 	rawResult []byte
-	subs      []chan ProgressEvent
+	// feed carries progress events to subscribers. It closes with the
+	// terminal transition: in finish, or at install for a job replayed
+	// terminal from the journal.
+	feed Feed
 }
 
 // New returns a ready service. It panics if Config.JournalDir is set
@@ -790,15 +793,26 @@ func (s *Service) dispatch() {
 
 // Status returns the current status of a job.
 func (s *Service) Status(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobStatus{}, false
 	}
+	return j.snapshot(), true
+}
+
+// lookup returns the job registered under id.
+func (s *Service) lookup(id string) (*job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	return j, ok
+}
+
+// snapshot returns a copy of the job's current status.
+func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status, true
+	return j.status
 }
 
 // Jobs returns the status of every known job in submission order.
@@ -830,9 +844,7 @@ func (s *Service) ResultAny(id string) (any, error) {
 // result endpoint serves those verbatim so a restart is byte-invisible
 // to polling clients.
 func (s *Service) result(id string) (any, []byte, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return nil, nil, ErrNotFound
 	}
@@ -912,42 +924,32 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	return st, nil
 }
 
-// Subscribe returns a channel of per-block progress events for a job
-// and a cancel function. The channel closes when the job reaches a
-// terminal state (immediately for already-finished jobs). Events are
-// advisory: a slow consumer may miss intermediate blocks but the
-// channel close is always delivered.
+// Subscribe returns a channel of a job's progress events and a cancel
+// function. The channel closes when the job reaches a terminal state
+// (immediately for already-finished jobs). Progress is advisory and
+// latest-value: a slow reader skips to the newest event, which it
+// still gets before the close.
 func (s *Service) Subscribe(id string) (<-chan ProgressEvent, func(), bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return nil, nil, false
 	}
-	ch := make(chan ProgressEvent, 16)
-	j.mu.Lock()
-	if terminal(j.status.State) {
-		close(ch)
-	} else {
-		j.subs = append(j.subs, ch)
-	}
-	j.mu.Unlock()
-	cancel := func() {
-		j.mu.Lock()
-		for i, c := range j.subs {
-			if c == ch {
-				// Nil the vacated tail slot so the backing array does
-				// not pin the channel (and its buffered events) after
-				// the subscriber is gone.
-				copy(j.subs[i:], j.subs[i+1:])
-				j.subs[len(j.subs)-1] = nil
-				j.subs = j.subs[:len(j.subs)-1]
-				break
-			}
-		}
-		j.mu.Unlock()
-	}
+	ch, cancel := j.feed.Subscribe()
 	return ch, cancel, true
+}
+
+// Stream calls fn for every progress event a reader of job id sees
+// until the job reaches a terminal state, then returns the final
+// status. ctx aborts the subscription, not the job.
+func (s *Service) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
+	j, ok := s.lookup(id)
+	if !ok {
+		return JobStatus{}, ErrNotFound
+	}
+	if err := j.feed.Drain(ctx, fn); err != nil {
+		return JobStatus{}, err
+	}
+	return j.snapshot(), nil
 }
 
 // Stats returns the service counters, including the registry cache
@@ -1142,7 +1144,7 @@ func (s *Service) run(j *job) {
 // finish performs a job's terminal transition — the single path every
 // outcome (done, failed, cancelled-queued, cancelled-running,
 // drain-dropped, panic recovery) goes through: state + timing + result
-// publication together with the service counters, subscriber close,
+// publication together with the service counters, feed close,
 // metric settlement, and the journal's finished record. At most one
 // caller wins; later calls are no-ops, so racing finishers (a Cancel
 // against the run goroutine, say) are safe.
@@ -1177,8 +1179,6 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	run := j.timing.RunSeconds
 	st := j.status
 	res := j.result
-	subs := j.subs
-	j.subs = nil
 	tctx := j.tctx
 	j.mu.Unlock()
 	s.mu.Unlock()
@@ -1186,9 +1186,7 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 		tctx = context.Background()
 	}
 
-	for _, ch := range subs {
-		close(ch)
-	}
+	j.feed.Close()
 	s.countTerminal(kind, state, started)
 	switch state {
 	case StateDone:
@@ -1262,15 +1260,16 @@ func (s *Service) countTerminal(kind, state string, started bool) {
 }
 
 // publish pushes one block-barrier progress snapshot to the status and
-// to every subscriber. Sends never block: progress is advisory.
+// the feed. It never blocks: progress is advisory.
 func (j *job) publish(p fsim.Progress) {
 	j.met.simBlocks.Inc()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status.BlocksDone = p.Block + 1
 	j.status.VectorsUsed = p.VectorsUsed
 	j.status.Detected = p.Detected
 	j.status.Active = p.Active
-	ev := ProgressEvent{
+	j.feed.Publish(ProgressEvent{
 		JobID:       j.id,
 		Kind:        j.status.Kind,
 		State:       StateRunning,
@@ -1279,8 +1278,7 @@ func (j *job) publish(p fsim.Progress) {
 		VectorsUsed: p.VectorsUsed,
 		Detected:    p.Detected,
 		Active:      p.Active,
-	}
-	j.send(ev)
+	})
 }
 
 // publishGen pushes one per-target ATPG progress snapshot — the
@@ -1288,12 +1286,13 @@ func (j *job) publish(p fsim.Progress) {
 // attempt.
 func (j *job) publishGen(p tgen.Progress) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status.TargetsDone = p.Done
 	j.status.Targets = p.Targets
 	j.status.Tests = p.Tests
 	j.status.Detected = p.Detected
 	j.status.Active = p.Active
-	ev := ProgressEvent{
+	j.feed.Publish(ProgressEvent{
 		JobID:    j.id,
 		Kind:     j.status.Kind,
 		State:    StateRunning,
@@ -1302,22 +1301,7 @@ func (j *job) publishGen(p tgen.Progress) {
 		Tests:    p.Tests,
 		Detected: p.Detected,
 		Active:   p.Active,
-	}
-	j.send(ev)
-}
-
-// send delivers one event to every subscriber without blocking (a slow
-// consumer misses intermediate events, never the channel close).
-// Called with j.mu held; unlocks it.
-func (j *job) send(ev ProgressEvent) {
-	subs := append([]chan ProgressEvent(nil), j.subs...)
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
+	})
 }
 
 func validatePatterns(spec PatternSpec) error {
