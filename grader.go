@@ -307,12 +307,13 @@ func (g *RemoteGrader) Close() error { return nil }
 // backends: the collapsed fault universe is partitioned into many more
 // deterministic index-range shards than backends (ShardsPerBackend per
 // healthy backend), the shards feed a work queue that each backend
-// pulls from as it has capacity, and the streamed progress and final
-// results are merged into a single JobResult that is bit-identical to
-// an unsharded single-node run. A backend that dies mid-job has its
-// shards retried on survivors; shards stuck behind a straggler are
-// stolen or speculatively duplicated on idle backends (first terminal
-// result wins — determinism makes duplicates safe). Health is probed
+// pulls from while it has fewer than ShardsPerBackend of them in
+// flight, and the streamed progress and final results are merged into
+// a single JobResult that is bit-identical to an unsharded single-node
+// run. A backend that dies mid-job has its shards retried on
+// survivors; a stalled or slow shard is speculatively duplicated on an
+// idle backend (first terminal result wins — determinism makes
+// duplicates safe). Health is probed
 // via /v1/stats and flapping backends are excluded. Cancel fans out to
 // every sub-job.
 type ClusterGrader struct {

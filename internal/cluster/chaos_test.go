@@ -17,22 +17,23 @@ import (
 // endpoint, leaving probes, submits, cancels and result fetches at
 // full speed — so the backend looks perfectly healthy to the
 // coordinator and only its shard work drags. Stream requests come in
-// two straggler shapes:
+// two straggler shapes, both rescued by speculation:
 //
-//   - stall (odd-numbered streams, when stall > 0): no bytes at all
-//     until p.stall — the attempt shows zero progress past the
-//     straggler threshold, the shape stealing exists for;
-//   - hold (every other stream): every line is forwarded immediately,
-//     but after the backend closes the stream the proxy keeps the
+//   - stall (when stall > 0; only odd-numbered streams when stallOdd
+//     is set): no bytes at all until p.stall — the attempt shows zero
+//     progress past the straggler threshold, so speculation's
+//     least-progress pick duplicates it first;
+//   - hold (every stream): every line is forwarded as it arrives, but
+//     after the backend closes the stream the proxy keeps the
 //     connection open for p.hold — the attempt can never finish
-//     before the hold expires, the shape speculation exists for.
-//     (Sub-jobs routinely finish before their stream attaches, so a
-//     per-line delay cannot fake a slow-running attempt; pinning the
-//     EOF can.)
+//     before the hold expires. (Sub-jobs routinely finish before their
+//     stream attaches, so a per-line delay cannot fake a slow-running
+//     attempt; pinning the EOF can.)
 type stragglerProxy struct {
-	backend string
-	hold    time.Duration
-	stall   time.Duration
+	backend  string
+	hold     time.Duration
+	stall    time.Duration
+	stallOdd bool
 
 	mu      sync.Mutex
 	streams int
@@ -73,7 +74,7 @@ func (p *stragglerProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	fl.Flush()
 
-	if p.stall > 0 && n%2 == 1 {
+	if p.stall > 0 && (!p.stallOdd || n%2 == 1) {
 		select {
 		case <-time.After(p.stall):
 		case <-r.Context().Done():
@@ -97,17 +98,18 @@ func (p *stragglerProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestClusterStragglerChaos is the tail-latency acceptance test: a
 // 3-backend cluster where one backend's streams stall or never close
-// must finish well under the straggler-bound wall clock, by stealing
-// the zero-progress shards and speculatively duplicating held ones —
-// and the merged result must stay bit-identical to an unsharded run
+// must finish well under the straggler-bound wall clock, by
+// speculatively duplicating both the zero-progress and the held shards
+// — and the merged result must stay bit-identical to an unsharded run
 // in all three drop modes.
 func TestClusterStragglerChaos(t *testing.T) {
 	fastURLs, _ := newBackends(t, 2)
 	slowURL, _ := newBackend(t)
 	proxy := &stragglerProxy{
-		backend: slowURL.URL,
-		hold:    2 * time.Second,
-		stall:   30 * time.Second,
+		backend:  slowURL.URL,
+		hold:     2 * time.Second,
+		stall:    30 * time.Second,
+		stallOdd: true,
 	}
 	psrv := httptest.NewServer(proxy)
 	t.Cleanup(psrv.Close)
@@ -147,17 +149,14 @@ func TestClusterStragglerChaos(t *testing.T) {
 			t.Fatalf("mode %s: straggler run diverges from single-node run\n got: %s\nwant: %s", mode, got, want)
 		}
 		// The straggler alone would hold the job for proxy.stall (30s)
-		// on its stalled shards; stealing and speculation must beat
-		// that bound by a wide margin.
+		// on its stalled shards; speculation must beat that bound by a
+		// wide margin.
 		if elapsed > bound {
 			t.Fatalf("mode %s: straggler run took %s, want well under the %s stall bound", mode, elapsed, proxy.stall)
 		}
 	}
 
 	exp := scrapeRegistry(t, co.Metrics())
-	if got := seriesValue(t, exp, "adifo_cluster_shards_stolen_total"); got < 1 {
-		t.Errorf("shards_stolen_total = %v, want >= 1 (stalled shards must be stolen)", got)
-	}
 	if got := seriesValue(t, exp, "adifo_cluster_shards_speculated_total"); got < 1 {
 		t.Errorf("shards_speculated_total = %v, want >= 1 (lagging shards must be duplicated)", got)
 	}
@@ -167,71 +166,77 @@ func TestClusterStragglerChaos(t *testing.T) {
 }
 
 // TestClusterSpeculationLoserCancelled pins down the speculation
-// happy path: with per-backend in-flight capped at 1, stealing is
-// structurally impossible (the steal gate needs a victim with >= 2
-// in-flight), so the only rescue for a shard whose stream never
-// closes is a speculative duplicate on the fast backend. The
+// happy path for both straggler shapes: a shard whose stream never
+// closes (hold) and one whose stream sends nothing at all (stall). The
+// only rescue is a speculative duplicate on the fast backend. The
 // duplicate must win (the original cannot finish before the proxy's
-// hold expires), the win counter must tick, and the losing attempt
-// must be superseded and its sub-job reaped on the straggler.
+// hold or stall expires), the win counter must tick, and the losing
+// attempt must be superseded and its sub-job reaped on the straggler.
 func TestClusterSpeculationLoserCancelled(t *testing.T) {
-	fastURLs, _ := newBackends(t, 1)
-	slowURL, slowSvc := newBackend(t)
-	// The hold must outlast the fast backend grading every other shard
-	// serially plus one duplicate re-run, so the duplicate always wins.
-	hold := 6 * time.Second
+	// The hold or stall must outlast the fast backend grading every
+	// other shard serially plus one duplicate re-run, so the duplicate
+	// always wins.
+	delay := 6 * time.Second
 	if raceEnabled {
-		hold = 30 * time.Second
+		delay = 30 * time.Second
 	}
-	proxy := &stragglerProxy{
-		backend: slowURL.URL,
-		hold:    hold,
-	}
-	psrv := httptest.NewServer(proxy)
-	t.Cleanup(psrv.Close)
+	for _, tc := range []struct {
+		name        string
+		hold, stall time.Duration
+	}{
+		{"hold", delay, 0},
+		{"stall", 0, delay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fastURLs, _ := newBackends(t, 1)
+			slowURL, slowSvc := newBackend(t)
+			proxy := &stragglerProxy{backend: slowURL.URL, hold: tc.hold, stall: tc.stall}
+			psrv := httptest.NewServer(proxy)
+			t.Cleanup(psrv.Close)
 
-	co, err := New([]string{fastURLs[0], psrv.URL}, Options{
-		Logger:                quiet,
-		StragglerAfter:        time.Second,
-		ShardsPerBackend:      2,
-		MaxInFlightPerBackend: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
+			co, err := New([]string{fastURLs[0], psrv.URL}, Options{
+				Logger:           quiet,
+				StragglerAfter:   time.Second,
+				ShardsPerBackend: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
 
-	spec := service.JobSpec{
-		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
-		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1024, Seed: 3}},
-	}
-	want := canonical(t, referenceResult(t, spec))
-	if got := canonical(t, clusterGrade(t, co, spec)); got != want {
-		t.Fatalf("straggler run diverges\n got: %s\nwant: %s", got, want)
-	}
+			spec := service.JobSpec{
+				Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
+				Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1024, Seed: 3}},
+			}
+			want := canonical(t, referenceResult(t, spec))
+			if got := canonical(t, clusterGrade(t, co, spec)); got != want {
+				t.Fatalf("straggler run diverges\n got: %s\nwant: %s", got, want)
+			}
 
-	exp := scrapeRegistry(t, co.Metrics())
-	if got := seriesValue(t, exp, "adifo_cluster_shards_speculated_total"); got < 1 {
-		t.Errorf("shards_speculated_total = %v, want >= 1", got)
-	}
-	if got := seriesValue(t, exp, "adifo_cluster_speculation_wins_total"); got < 1 {
-		t.Errorf("speculation_wins_total = %v, want >= 1 (the held original cannot beat a fast duplicate)", got)
-	}
+			exp := scrapeRegistry(t, co.Metrics())
+			if got := seriesValue(t, exp, "adifo_cluster_shards_speculated_total"); got < 1 {
+				t.Errorf("shards_speculated_total = %v, want >= 1", got)
+			}
+			if got := seriesValue(t, exp, "adifo_cluster_speculation_wins_total"); got < 1 {
+				t.Errorf("speculation_wins_total = %v, want >= 1 (the %s original cannot beat a fast duplicate)", got, tc.name)
+			}
 
-	// Every sub-job on the straggler must reach a terminal state — the
-	// cancel fan-out for superseded attempts reaps the losers. (Jobs
-	// that finished on the backend before the cancel landed count as
-	// done; nothing may still be running.)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := slowSvc.Stats()
-		if st.JobsRunning == 0 && st.JobsQueued == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("straggler still has %d running / %d queued sub-jobs after the cluster job finished",
-				st.JobsRunning, st.JobsQueued)
-		}
-		time.Sleep(10 * time.Millisecond)
+			// Every sub-job on the straggler must reach a terminal state —
+			// the cancel fan-out for superseded attempts reaps the losers.
+			// (Jobs that finished on the backend before the cancel landed
+			// count as done; nothing may still be running.)
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				st := slowSvc.Stats()
+				if st.JobsRunning == 0 && st.JobsQueued == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("straggler still has %d running / %d queued sub-jobs after the cluster job finished",
+						st.JobsRunning, st.JobsQueued)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

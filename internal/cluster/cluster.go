@@ -8,17 +8,16 @@
 //
 // Placement is a work queue, not a static assignment: the coordinator
 // cuts ShardsPerBackend shards per healthy backend — many more shards
-// than backends — and each backend pulls the next queued shard as its
-// in-flight window (bounded by MaxInFlightPerBackend, scaled by the
-// capacity each backend reports on /v1/stats) opens up. Fast backends
-// therefore finish more shards; a slow backend bounds only its own
-// tail, not the job. When the queue runs dry an idle backend first
-// steals a shard that is still sitting unstarted in a backlogged
-// peer's own queue, then speculatively duplicates the least-progressed
-// running shard — the first attempt to reach a terminal result wins
-// and the loser is cancelled. A background re-probe loop re-admits
-// backends that were unhealthy (or flapping) at submit time, so
-// membership is dynamic over a job's lifetime.
+// than backends — and each backend pulls the next queued shard
+// whenever it has fewer than ShardsPerBackend of the job's sub-jobs in
+// flight. Fast backends therefore finish more shards; a slow backend
+// bounds only its own tail, not the job. Speculation is the one
+// straggler rescue: when the queue runs dry an idle backend duplicates
+// the least-progressed running shard older than StragglerAfter (a
+// stalled, zero-progress shard first) — the first attempt to reach a
+// terminal result wins and the loser is cancelled. A background
+// re-probe loop re-admits backends that were unhealthy (or flapping)
+// at submit time, so membership is dynamic over a job's lifetime.
 //
 // The merge is bit-identical to an unsharded single-node run because
 // dropping decisions are per-fault: a fault drops when its own
@@ -84,26 +83,21 @@ type Options struct {
 	// job over N healthy backends is cut into K×N shards (default 4).
 	// More shards mean finer-grained load balancing — a straggler
 	// strands at most 1/(K·N) of the fault universe per in-flight slot
-	// — at the cost of more sub-jobs and more merge tracks.
+	// — at the cost of more sub-jobs and more merge tracks. K is also
+	// each backend's in-flight window for one job, so the whole queue
+	// streams at once when every backend is healthy and the queue only
+	// backs up under failures.
 	ShardsPerBackend int
-	// MaxInFlightPerBackend caps how many sub-jobs of one cluster job
-	// run concurrently on a single backend (default: ShardsPerBackend,
-	// so the whole queue streams at once when every backend is
-	// healthy and the queue only backs up under failures or skew).
-	// Backends reporting fewer workers than their largest peer get a
-	// proportionally smaller window (see capacity).
-	MaxInFlightPerBackend int
 	// ReprobeInterval is the period of the background membership sweep
-	// that re-probes every backend, records its reported capacity, and
-	// re-admits recovered backends into running jobs (default 3s).
+	// that re-probes every backend's liveness and re-admits recovered
+	// backends into running jobs (default 3s).
 	ReprobeInterval time.Duration
 	// StragglerAfter is how old a shard's sole attempt must be before
-	// an idle backend (with an empty queue) may steal it (no streamed
-	// progress yet — the sub-job is stuck in its backend's queue) or
-	// speculatively duplicate it (progressing, but slowly). The age
-	// gate keeps healthy fast jobs at exactly one attempt per shard:
-	// "no progress" alone also describes a placement that is a few
-	// milliseconds old (default 2s).
+	// an idle backend (with an empty queue) may speculatively duplicate
+	// it, whether it is stalled (no streamed progress yet) or merely
+	// slow. The age gate keeps healthy fast jobs at exactly one attempt
+	// per shard: "least progress" alone also describes a placement that
+	// is a few milliseconds old (default 2s).
 	StragglerAfter time.Duration
 	// Logger receives placement and retry diagnostics as structured
 	// records with "backend", "shard" and "job" fields. Nil selects the
@@ -130,9 +124,6 @@ func (o Options) withDefaults() Options {
 	if o.ShardsPerBackend <= 0 {
 		o.ShardsPerBackend = 4
 	}
-	if o.MaxInFlightPerBackend <= 0 {
-		o.MaxInFlightPerBackend = o.ShardsPerBackend
-	}
 	if o.ReprobeInterval <= 0 {
 		o.ReprobeInterval = 3 * time.Second
 	}
@@ -145,8 +136,7 @@ func (o Options) withDefaults() Options {
 
 // backend is one adifod server plus its health bookkeeping. failures
 // counts consecutive transport-level failures; any completed sub-job
-// or successful probe resets it. workers/load are the capacity hints
-// from the backend's most recent /v1/stats answer.
+// or successful probe resets it.
 type backend struct {
 	url string
 	cl  *client.Client
@@ -154,8 +144,6 @@ type backend struct {
 	mu       sync.Mutex
 	failures int
 	alive    bool
-	workers  int
-	load     int // queued + running jobs at last probe
 }
 
 func (b *backend) markFailure() {
@@ -188,19 +176,6 @@ func (b *backend) markProbe(ok bool) (recovered bool) {
 	return false
 }
 
-// setHints records the backend's self-reported capacity.
-func (b *backend) setHints(workers, load int) {
-	b.mu.Lock()
-	b.workers, b.load = workers, load
-	b.mu.Unlock()
-}
-
-func (b *backend) hints() (workers, load int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.workers, b.load
-}
-
 // flapping reports whether the backend has hit the consecutive-failure
 // threshold.
 func (b *backend) flapping(max int) bool {
@@ -226,7 +201,7 @@ type Coordinator struct {
 
 	// traces records the coordinator's side of every cluster job's
 	// trace: the fan-out root, one span per shard attempt (including
-	// reruns, steals and speculative duplicates), and the merge. The
+	// reruns and speculative duplicates), and the merge. The
 	// sub-jobs join the same trace on their backends via traceparent
 	// propagation.
 	traces *trace.Recorder
@@ -320,15 +295,13 @@ func (co *Coordinator) shardKey(jobID string, index, count, attempt int) string 
 }
 
 // attempt is one placement of one shard on one backend. A shard has at
-// most two live attempts: its primary and a speculative duplicate (or
-// the superseded victim of a steal, draining away).
+// most two live attempts: its primary and a speculative duplicate.
 type attempt struct {
 	backend     *backend
 	key         string
 	seq         int  // attempt ordinal within the shard, keys the sub-job
 	retry       int  // sh.retries at creation; the span's retry attribute
 	speculative bool // duplicate of a running attempt
-	stolen      bool // claimed away from a backlogged backend
 	born        time.Time
 
 	// ctx cancels this attempt's outbound calls; cancel is invoked when
@@ -338,11 +311,11 @@ type attempt struct {
 
 	remoteID string // sub-job id on the backend; guarded by shard.mu
 
-	// progress counts streamed events — the steal heuristic's "has this
-	// sub-job started at all" signal.
+	// progress counts streamed events; speculation duplicates the
+	// running shard with the fewest, so a stalled attempt goes first.
 	progress atomic.Int64
-	// superseded marks a lost race: the shard finished (or moved)
-	// elsewhere and this attempt's death is bookkeeping, not a loss.
+	// superseded marks a lost race: the shard finished elsewhere (or
+	// was settled) and this attempt's death is bookkeeping, not a loss.
 	superseded atomic.Bool
 }
 
@@ -429,19 +402,15 @@ type work struct {
 	att *attempt
 }
 
-// probe checks one backend's liveness with the configured timeout,
+// probe checks one backend's liveness with the configured timeout and
 // records the round-trip in the per-backend probe histogram (a dead
-// backend observes the timeout it cost the sweep), and on success
-// refreshes the backend's capacity hints.
+// backend observes the timeout it cost the sweep).
 func (co *Coordinator) probe(ctx context.Context, b *backend) error {
 	pctx, cancel := context.WithTimeout(ctx, co.opts.ProbeTimeout)
 	defer cancel()
 	start := co.now()
-	st, err := b.cl.Stats(pctx)
+	_, err := b.cl.Stats(pctx)
 	co.met.probeSeconds.With(b.url).Observe(co.now().Sub(start).Seconds())
-	if err == nil {
-		b.setHints(st.Workers, st.JobsQueued+st.JobsRunning)
-	}
 	return err
 }
 
@@ -485,8 +454,8 @@ func (co *Coordinator) healthyBackends(ctx context.Context) []*backend {
 }
 
 // reprobeLoop is the dynamic-membership sweep: it periodically probes
-// every backend, refreshing capacity hints and re-admitting backends
-// that were dead (or flapping) into the dispatch of running jobs.
+// every backend and re-admits backends that were dead (or flapping)
+// into the dispatch of running jobs.
 func (co *Coordinator) reprobeLoop() {
 	t := time.NewTicker(co.opts.ReprobeInterval)
 	defer t.Stop()
@@ -532,33 +501,6 @@ func (co *Coordinator) admit(b *backend) {
 	for _, j := range jobs {
 		co.startRunner(j, b)
 	}
-}
-
-// capacity is the in-flight window the coordinator keeps open on b:
-// the configured cap, scaled by the workers b reported relative to the
-// best-provisioned peer, and shaved when b already carries a standing
-// backlog of its own. Backends with no hints yet (never probed, or an
-// older server not reporting workers) get the full cap.
-func (co *Coordinator) capacity(b *backend) int {
-	cap := co.opts.MaxInFlightPerBackend
-	w, load := b.hints()
-	if w <= 0 {
-		return cap
-	}
-	maxW := w
-	for _, x := range co.backends {
-		if xw, _ := x.hints(); xw > maxW {
-			maxW = xw
-		}
-	}
-	c := (cap*w + maxW - 1) / maxW
-	if load > w && c > 1 {
-		c--
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // Submit partitions the fault universe into ShardsPerBackend shards
@@ -629,7 +571,7 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 	// context carries one (a span, or a remote SpanContext from an
 	// incoming traceparent), else starts a fresh trace. One trace then
 	// covers the whole fan-out — every shard attempt, every backend
-	// sub-job, every rerun, steal and speculation, and the merge.
+	// sub-job, every rerun and speculation, and the merge.
 	tctx := trace.WithRecorder(context.Background(), co.traces)
 	if sc := trace.SpanContextFromContext(ctx); sc.IsValid() {
 		tctx = trace.ContextWithRemote(tctx, sc)
@@ -668,7 +610,7 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 		rid, err := b.cl.Submit(pctx, sub)
 		if err == nil {
 			canary.mu.Lock()
-			att := co.newAttemptLocked(j, canary, b, false, false)
+			att := co.newAttemptLocked(j, canary, b, false)
 			att.remoteID = rid
 			canary.remoteID = rid
 			canary.mu.Unlock()
@@ -739,11 +681,11 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 			func(context.Context) { co.runAttempt(j, canaryB, canaryWork) })
 	}()
 
-	// The pacemaker: steal and speculation eligibility turn true with
-	// the mere passage of time (an attempt ages past StragglerAfter
-	// with no event landing — the very situation where no broadcast is
-	// coming), so idle dispatch loops parked in cond.Wait need a
-	// periodic nudge to re-scan for work.
+	// The pacemaker: speculation eligibility turns true with the mere
+	// passage of time (an attempt ages past StragglerAfter with no
+	// event landing — the very situation where no broadcast is coming),
+	// so idle dispatch loops parked in cond.Wait need a periodic nudge
+	// to re-scan for work.
 	co.wg.Add(1)
 	go func() {
 		defer co.wg.Done()
@@ -795,7 +737,7 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 
 // newAttemptLocked mints the next attempt of sh on b. Caller holds
 // sh.mu.
-func (co *Coordinator) newAttemptLocked(j *cjob, sh *shard, b *backend, speculative, stolen bool) *attempt {
+func (co *Coordinator) newAttemptLocked(j *cjob, sh *shard, b *backend, speculative bool) *attempt {
 	ctx, cancel := context.WithCancel(j.tctx)
 	att := &attempt{
 		backend:     b,
@@ -803,7 +745,6 @@ func (co *Coordinator) newAttemptLocked(j *cjob, sh *shard, b *backend, speculat
 		seq:         sh.attemptSeq,
 		retry:       sh.retries,
 		speculative: speculative,
-		stolen:      stolen,
 		born:        co.now(),
 		ctx:         ctx,
 		cancel:      cancel,
@@ -879,9 +820,9 @@ func (co *Coordinator) backendLoop(j *cjob, b *backend) {
 	}
 }
 
-// nextWork blocks until b can take on more work for j and claims it:
-// a queued shard first, then — only with an empty queue — a steal from
-// a backlogged peer, then a speculative duplicate of the slowest
+// nextWork blocks until b has a free slot in its ShardsPerBackend
+// window for j and claims work for it: a queued shard first, then —
+// only with an empty queue — a speculative duplicate of the slowest
 // running shard. Returns nil when the job is finished (or b has been
 // struck off) and the loop should exit.
 func (co *Coordinator) nextWork(j *cjob, b *backend) *work {
@@ -891,14 +832,11 @@ func (co *Coordinator) nextWork(j *cjob, b *backend) *work {
 		if j.closed || b.flapping(co.opts.MaxBackendFailures) {
 			return nil
 		}
-		if j.inflight[b.url] < co.capacity(b) {
+		if j.inflight[b.url] < co.opts.ShardsPerBackend {
 			if wk := co.claimQueuedLocked(j, b); wk != nil {
 				return wk
 			}
 			if len(j.queue) == 0 && !j.aborted.Load() {
-				if wk := co.claimStolenLocked(j, b); wk != nil {
-					return wk
-				}
 				if wk := co.claimSpeculativeLocked(j, b); wk != nil {
 					return wk
 				}
@@ -918,7 +856,7 @@ func (co *Coordinator) claimQueuedLocked(j *cjob, b *backend) *work {
 			sh.mu.Unlock()
 			continue
 		}
-		att := co.newAttemptLocked(j, sh, b, false, false)
+		att := co.newAttemptLocked(j, sh, b, false)
 		sh.mu.Unlock()
 		copy(j.queue[i:], j.queue[i+1:])
 		j.queue[len(j.queue)-1] = nil
@@ -929,78 +867,19 @@ func (co *Coordinator) claimQueuedLocked(j *cjob, b *backend) *work {
 	return nil
 }
 
-// claimStolenLocked steals a shard whose sole attempt sits on a
-// backlogged peer with zero streamed progress: the sub-job is still
-// waiting in that backend's own queue, so moving it to an idle backend
-// loses no work. The victim is cancelled, not duplicated — stealing
-// reassigns queued work, speculation duplicates running work. Caller
-// holds j.smu.
-func (co *Coordinator) claimStolenLocked(j *cjob, b *backend) *work {
-	// Count live (non-superseded) attempts per backend up front.
-	// j.inflight lags reality here: a stolen victim keeps its inflight
-	// slot until its goroutine exits, so a thief scanning in a tight
-	// burst would see a stale backlog and strip a backend bare before
-	// the first victim ever unwinds. Supersede flips synchronously,
-	// so this count cannot double-steal the same backlog.
-	live := make(map[string]int, len(j.inflight))
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.state == service.StateRunning {
-			for _, a := range sh.attempts {
-				if !a.superseded.Load() {
-					live[a.backend.url]++
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.state != service.StateRunning || len(sh.attempts) != 1 {
-			sh.mu.Unlock()
-			continue
-		}
-		victim := sh.attempts[0]
-		// Require a genuinely stuck victim: old enough that its first
-		// event should long since have landed, still at zero progress,
-		// and behind a real backlog (≥2 live attempts) on its backend —
-		// otherwise two idle backends would ping-pong fresh placements
-		// between them before the first event can land. The last
-		// zero-progress attempt on a backend is speculation's to
-		// duplicate, not stealing's to cancel.
-		if victim.backend == b || victim.progress.Load() > 0 ||
-			victim.superseded.Load() || live[victim.backend.url] < 2 ||
-			co.now().Sub(victim.born) < co.opts.StragglerAfter {
-			sh.mu.Unlock()
-			continue
-		}
-		victim.superseded.Store(true)
-		rid := victim.remoteID
-		att := co.newAttemptLocked(j, sh, b, false, true)
-		sh.mu.Unlock()
-		victim.cancel()
-		go co.cancelRemote(j.tctx, j, victim.backend, rid, "stolen")
-		co.met.shardsStolen.Inc()
-		co.logger.InfoContext(j.tctx, "shard stolen from backlogged backend",
-			"job", j.id, "shard", sh.index, "from", victim.backend.url, "to", b.url)
-		j.inflight[b.url]++
-		return &work{sh: sh, att: att}
-	}
-	return nil
-}
-
 // claimSpeculativeLocked duplicates the least-progressed running shard
-// on an otherwise idle backend — the MapReduce backup task. The merge
-// is bit-identical, so whichever attempt finishes first yields the
-// same job; the loser is cancelled. At most two live attempts per
-// shard. Caller holds j.smu.
+// on an otherwise idle backend — the MapReduce backup task. Picking
+// the least progress first puts a stalled, zero-progress shard ahead
+// of a merely slow one. The merge is bit-identical, so whichever
+// attempt finishes first yields the same job; the loser is cancelled.
+// At most two live attempts per shard. Caller holds j.smu.
 func (co *Coordinator) claimSpeculativeLocked(j *cjob, b *backend) *work {
 	var pick *shard
 	var pickProgress int64
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		ok := sh.state == service.StateRunning && len(sh.attempts) == 1 &&
-			sh.attempts[0].backend != b && !sh.attempts[0].superseded.Load() &&
+			sh.attempts[0].backend != b &&
 			co.now().Sub(sh.attempts[0].born) >= co.opts.StragglerAfter
 		var p int64
 		if ok {
@@ -1020,7 +899,7 @@ func (co *Coordinator) claimSpeculativeLocked(j *cjob, b *backend) *work {
 		pick.mu.Unlock()
 		return nil
 	}
-	att := co.newAttemptLocked(j, pick, b, true, false)
+	att := co.newAttemptLocked(j, pick, b, true)
 	pick.mu.Unlock()
 	co.met.shardsSpeculated.Inc()
 	co.logger.InfoContext(j.tctx, "speculating tail shard on idle backend",
@@ -1044,9 +923,6 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 	span.SetAttrInt("shard", sh.index)
 	span.SetAttr("backend", b.url)
 	span.SetAttrInt("retry", att.retry)
-	if att.stolen {
-		span.SetAttr("steal", "true")
-	}
 	if att.speculative {
 		span.SetAttr("speculate", "true")
 	}
@@ -1107,7 +983,8 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 				return
 			}
 			if att.superseded.Load() {
-				// Our own steal/supersede cancel echoing back.
+				// Our own loser cancel echoing back: a sibling
+				// attempt won, or the shard was settled.
 				return
 			}
 			// The backend cancelled the sub-job on its own — a
@@ -1153,9 +1030,9 @@ func removeAttempt(sh *shard, att *attempt) int {
 func (co *Coordinator) attemptLost(lctx context.Context, j *cjob, b *backend, sh *shard, att *attempt, err error, submitting bool) {
 	siblings := removeAttempt(sh, att)
 	if att.superseded.Load() {
-		// The error is self-inflicted — our own steal or supersede
-		// cancelled this attempt's context — so it says nothing about
-		// the backend's health.
+		// The error is self-inflicted — a sibling attempt won or the
+		// shard was settled, and that cancelled this attempt's context
+		// — so it says nothing about the backend's health.
 		return
 	}
 	var apiErr *service.APIError

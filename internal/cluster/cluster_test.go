@@ -188,8 +188,8 @@ func TestClusterBitIdentical(t *testing.T) {
 				}
 				// The work queue over-partitions: ShardsPerBackend (default
 				// 4) shards per healthy backend, and on an all-healthy run
-				// every shard completes its single attempt with no steals
-				// or speculation.
+				// every shard completes its single attempt with no
+				// speculative duplicate.
 				shards, err := co.Shards("c1")
 				if err != nil || len(shards) != 4*n {
 					t.Fatalf("shards: %v, %v (want %d)", shards, err, 4*n)
@@ -611,7 +611,7 @@ func TestClusterErrorsContract(t *testing.T) {
 		t.Fatalf("summed backend stats JobsDone = %d, want 8", st.JobsDone)
 	}
 	if st.Workers <= 0 {
-		t.Fatalf("summed backend stats Workers = %d, want > 0 (capacity hints feed placement)", st.Workers)
+		t.Fatalf("summed backend stats Workers = %d, want > 0 (backends report their worker bound on /v1/stats)", st.Workers)
 	}
 }
 

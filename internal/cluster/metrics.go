@@ -16,7 +16,6 @@ type clusterMetrics struct {
 	exclusions       *obs.CounterVec // backend
 	mergeSeconds     *obs.Histogram
 	jobsTotal        *obs.CounterVec // status (terminal only)
-	shardsStolen     *obs.Counter
 	shardsSpeculated *obs.Counter
 	speculationWins  *obs.Counter
 }
@@ -38,8 +37,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	for _, st := range []string{"done", "failed", "cancelled"} {
 		m.jobsTotal.With(st)
 	}
-	m.shardsStolen = reg.Counter("adifo_cluster_shards_stolen_total",
-		"Shards stolen from a backlogged backend before their sub-job made progress.")
 	m.shardsSpeculated = reg.Counter("adifo_cluster_shards_speculated_total",
 		"Speculative duplicate attempts launched on idle backends for slow shards.")
 	m.speculationWins = reg.Counter("adifo_cluster_speculation_wins_total",

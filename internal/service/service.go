@@ -335,9 +335,9 @@ type Stats struct {
 	JobsRunning  int    `json:"jobs_running"`
 	JobsQueued   int    `json:"jobs_queued"`
 	// Workers is the server's configured per-job shard worker bound
-	// (Config.SimWorkers) — a capacity hint cluster coordinators use to
-	// weight placement across heterogeneous backends. Omitted by old
-	// servers; 0 means unknown.
+	// (Config.SimWorkers), reported for operators; a cluster
+	// coordinator sums it across backends. Omitted by old servers; 0
+	// means unknown.
 	Workers int `json:"workers,omitempty"`
 	// UptimeSeconds is the service's age; Version the build version —
 	// the same values the adifo_uptime_seconds and adifo_build_info

@@ -2,8 +2,8 @@
 # Runs the serving-path benchmarks — the single-process grading service
 # (BenchmarkServiceThroughput), the fault-sharded cluster path
 # (BenchmarkClusterGrade) and the same cluster with one straggling
-# backend (BenchmarkClusterGradeStraggler, which exercises shard
-# stealing and speculation) — and writes the raw `go test -json` event
+# backend (BenchmarkClusterGradeStraggler, which exercises speculative
+# shard duplicates) — and writes the raw `go test -json` event
 # stream to BENCH_service.json, the artifact CI uploads per commit so
 # the serving-path perf trajectory is recorded over time. The gap
 # between the two cluster numbers tracks the tail-latency machinery.
